@@ -162,15 +162,19 @@ chaos:
 	$(GO) test -count=1 -run 'TestGoldenRetrieval' .
 	$(GO) run ./cmd/sqe-serve -chaos -shards 4
 
-# Short fuzz rounds over every fuzz target with a committed seed corpus
-# (wikixml parser, index decoder). Not part of verify — run on demand or
-# in CI's cron lane.
+# Short fuzz rounds over the decoders of external bytes: the wikixml
+# parser, the v1 index decoder, the v2 block decoder and file opener,
+# the segment manifest codec, the RPC frame/envelope decoders, and the
+# shard server's stats/eval request handlers. Not part of verify — run
+# on demand or in CI's fuzz lane.
 fuzz:
 	$(GO) test -fuzz FuzzWikiXMLParse -fuzztime 30s -run '^$$' ./internal/wikixml/
 	$(GO) test -fuzz FuzzIndexDecode -fuzztime 30s -run '^$$' ./internal/index/
 	$(GO) test -fuzz FuzzBlockDecode -fuzztime 30s -run '^$$' ./internal/index/
 	$(GO) test -fuzz FuzzOpenV2 -fuzztime 30s -run '^$$' ./internal/index/
 	$(GO) test -fuzz FuzzSegmentManifest -fuzztime 30s -run '^$$' ./internal/index/
+	$(GO) test -fuzz FuzzRPCFrame -fuzztime 30s -run '^$$' ./internal/rpc/
+	$(GO) test -fuzz FuzzShardRequest -fuzztime 30s -run '^$$' ./internal/search/
 
 # The full gate run before every commit.
 verify: vet fmt build race test shard-parity index-parity segment-parity bench-check serve-smoke precompute-smoke ingest-smoke distributed-smoke load-smoke chaos

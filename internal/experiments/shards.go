@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -95,7 +96,10 @@ func ShardBench(s *Suite, inst *dataset.Instance, shardCounts []int, k, reps int
 		}
 		ss := search.NewShardedSearcher(index.NewSharded(inst.Index, sc))
 		ns, res := timeAll(func(n search.Node) []search.Result {
-			return ss.Search(n, k)
+			// A background context never cancels, and the shards share
+			// one analyzer, so the search cannot fail.
+			res, _ := ss.SearchContext(context.Background(), n, k)
+			return res
 		})
 		identical := true
 		for i := range res {

@@ -203,16 +203,25 @@ func (ix *Index) CollectionProb(term string) float64 {
 	return ix.FloorProb(cf)
 }
 
-// FloorProb converts a collection frequency into a probability with a
-// 0.5-occurrence floor (the usual OOV treatment in LM retrieval).
-func (ix *Index) FloorProb(cf int64) float64 {
-	if ix.totalToks == 0 {
+// FloorProb converts a collection frequency into a probability over
+// this index's token count (see the package-level FloorProb).
+func (ix *Index) FloorProb(cf int64) float64 { return FloorProb(cf, ix.totalToks) }
+
+// FloorProb converts a collection frequency into the collection
+// probability P(w|C) = cf/totalToks, with a 0.5-occurrence floor for
+// out-of-vocabulary terms (the usual OOV treatment in LM retrieval) and
+// a tiny constant for an empty collection, so log-probabilities stay
+// finite. Every topology — one index, shards, segments, shard servers —
+// floors through this one expression, which is what keeps their
+// smoothing bit-identical.
+func FloorProb(cf, totalToks int64) float64 {
+	if totalToks == 0 {
 		return 1e-12
 	}
 	if cf <= 0 {
-		return 0.5 / float64(ix.totalToks)
+		return 0.5 / float64(totalToks)
 	}
-	return float64(cf) / float64(ix.totalToks)
+	return float64(cf) / float64(totalToks)
 }
 
 // AvgDocLen returns the mean document length.

@@ -95,6 +95,27 @@ func TestCollectionProb(t *testing.T) {
 	}
 }
 
+// TestFloorProb pins the three branches of the one OOV floor every
+// topology smooths through.
+func TestFloorProb(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		cf, totalToks int64
+		want          float64
+	}{
+		{"empty collection", 0, 0, 1e-12},
+		{"empty collection ignores cf", 7, 0, 1e-12},
+		{"oov", 0, 8, 0.5 / 8},
+		{"negative cf floors", -3, 8, 0.5 / 8},
+		{"ratio", 3, 8, 3.0 / 8},
+		{"whole collection", 8, 8, 1},
+	} {
+		if got := FloorProb(tc.cf, tc.totalToks); got != tc.want {
+			t.Errorf("%s: FloorProb(%d, %d) = %v, want %v", tc.name, tc.cf, tc.totalToks, got, tc.want)
+		}
+	}
+}
+
 func TestDocVector(t *testing.T) {
 	ix := buildIndex(t, "x y x", "y z")
 	v := ix.DocVector(0)

@@ -35,8 +35,9 @@ import (
 // from the same surviving documents in the same order — the contract
 // search.SegmentedSearcher builds on and segment_diff_test.go enforces.
 // The pieces of the argument live where they apply: global statistics
-// here (NumDocs/TotalTokens/FloorProb are tombstone-adjusted exact
-// sums), per-leaf statistics and DocID remapping in the searcher.
+// here (NumDocs/TotalTokens and the per-segment live counts are
+// tombstone-adjusted exact sums), per-leaf statistics and DocID
+// remapping in the searcher.
 //
 // A Segmented is safe for concurrent use: mutators serialise on an
 // internal lock, readers are lock-free (one atomic load + refcount per
@@ -531,14 +532,15 @@ func (s *Segmented) installLocked() {
 		sn.views = append(sn.views, segView{ix: sealed, tombs: s.bufTombs, liveDocs: sealed.NumDocs() - len(s.bufTombs)})
 	}
 	sn.prefix = make([]int, len(sn.views)+1)
-	for i, v := range sn.views {
+	for i := range sn.views {
+		v := &sn.views[i]
 		sn.prefix[i+1] = sn.prefix[i] + v.liveDocs
 		sn.numDocs += v.liveDocs
-		toks := v.ix.TotalTokens()
+		v.liveToks = v.ix.TotalTokens()
 		for _, d := range v.tombs {
-			toks -= int64(v.ix.DocLen(d))
+			v.liveToks -= int64(v.ix.DocLen(d))
 		}
-		sn.totalToks += toks
+		sn.totalToks += v.liveToks
 	}
 	if old := s.cur.Swap(sn); old != nil {
 		old.unref()
@@ -603,6 +605,7 @@ type segView struct {
 	ix       *Index
 	tombs    []DocID
 	liveDocs int
+	liveToks int64
 }
 
 // tryRef acquires a reference unless the snapshot already drained.
@@ -651,6 +654,10 @@ func (sn *Snapshot) Tombstones(i int) []DocID { return sn.views[i].tombs }
 // SegmentLiveDocs returns segment i's live-document count.
 func (sn *Snapshot) SegmentLiveDocs(i int) int { return sn.views[i].liveDocs }
 
+// SegmentLiveTokens returns segment i's live token count: its tokens
+// minus the tombstoned documents' lengths.
+func (sn *Snapshot) SegmentLiveTokens(i int) int64 { return sn.views[i].liveToks }
+
 // NumDocs returns the number of live documents across all segments.
 func (sn *Snapshot) NumDocs() int { return sn.numDocs }
 
@@ -658,26 +665,6 @@ func (sn *Snapshot) NumDocs() int { return sn.numDocs }
 // tombstoned documents' tokens are subtracted exactly, so smoothing
 // matches a monolithic index over the surviving documents bit for bit.
 func (sn *Snapshot) TotalTokens() int64 { return sn.totalToks }
-
-// AvgDocLen returns the live mean document length.
-func (sn *Snapshot) AvgDocLen() float64 {
-	if sn.numDocs == 0 {
-		return 0
-	}
-	return float64(sn.totalToks) / float64(sn.numDocs)
-}
-
-// FloorProb converts a live collection frequency into a probability
-// with the same 0.5-occurrence OOV floor as Index.FloorProb.
-func (sn *Snapshot) FloorProb(cf int64) float64 {
-	if sn.totalToks == 0 {
-		return 1e-12
-	}
-	if cf <= 0 {
-		return 0.5 / float64(sn.totalToks)
-	}
-	return float64(cf) / float64(sn.totalToks)
-}
 
 // GlobalDoc maps segment i's local DocID to the global DocID a
 // monolithic index over the surviving documents (in ingestion order)

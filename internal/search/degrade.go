@@ -2,15 +2,17 @@ package search
 
 import (
 	"context"
+	"fmt"
 	"runtime/debug"
 	"time"
 
 	"repro/internal/fault"
 )
 
-// DegradeOptions configures graceful degradation for sharded retrieval.
-// The zero value disables every mechanism, reproducing the strict
-// all-or-nothing behaviour of SearchContext.
+// DegradeOptions configures graceful degradation for partitioned
+// retrieval (shards, segments or shard servers). The zero value
+// disables every mechanism, reproducing the strict all-or-nothing
+// behaviour of SearchContext.
 type DegradeOptions struct {
 	// AllowPartial merges the surviving shards' results when some shards
 	// fail (error, panic, or per-shard deadline), instead of failing the
@@ -22,8 +24,9 @@ type DegradeOptions struct {
 	// deadline). A shard that exceeds it is treated like a failed shard:
 	// dropped under AllowPartial, fatal otherwise.
 	ShardDeadline time.Duration
-	// MaxRetries re-runs a shard evaluation that failed with a transient
-	// fault (fault.IsTransient) up to this many extra times before
+	// MaxRetries re-runs a shard call that failed retryably — a
+	// transient fault (fault.IsTransient) in process, a transport error
+	// (rpc.IsTransport) over RPC — up to this many extra times before
 	// declaring the shard failed.
 	MaxRetries int
 	// RetryBackoff is the base delay between retry attempts; attempt i
@@ -46,39 +49,11 @@ type PartialInfo struct {
 // Degraded reports whether any shard was dropped.
 func (p *PartialInfo) Degraded() bool { return p != nil && len(p.DroppedShards) > 0 }
 
-// SearchDegraded is SearchContext with graceful degradation: per-shard
-// deadlines, transient-fault retries, and — under opts.AllowPartial —
-// partial merges that drop failed shards instead of failing the query.
-//
-// The partial merge is exact on what remains: shards fail or survive
-// phase 3 (evaluation) only, after the cross-shard statistics override,
-// so every surviving shard scored with the full global statistics and
-// the degraded ranking is precisely the complete ranking minus the
-// dropped shards' documents. A search where every shard fails returns
-// the first shard's error.
-func (ss *ShardedSearcher) SearchDegraded(ctx context.Context, q Node, k int, opts DegradeOptions) ([]Result, PartialInfo, error) {
-	var pi PartialInfo
-	res, err := ss.search(ctx, q, k, nil, &opts, &pi)
-	return res, pi, err
-}
-
-// SearchDegradedWithStats is SearchDegraded plus instrumentation.
-// Dropped shards still report the counters for the work they did before
-// failing.
-func (ss *ShardedSearcher) SearchDegradedWithStats(ctx context.Context, q Node, k int, opts DegradeOptions) ([]Result, SearchStats, PartialInfo, error) {
-	var st SearchStats
-	var pi PartialInfo
-	start := time.Now()
-	res, err := ss.search(ctx, q, k, &st, &opts, &pi)
-	st.Elapsed = time.Since(start)
-	return res, st, pi, err
-}
-
-// evalShardGuarded runs one shard evaluation attempt with the fault
-// hook and panic containment. Shard evaluations run on worker
-// goroutines, where an uncaught panic — injected or genuine — would
-// kill the process before any engine-level recovery could run, so the
-// recover here is unconditional, not gated on degradation being
+// evalShardGuarded runs one in-process partition evaluation attempt
+// with the fault hook and panic containment. Partition evaluations run
+// on worker goroutines, where an uncaught panic — injected or genuine —
+// would kill the process before any engine-level recovery could run,
+// so the recover here is unconditional, not gated on degradation being
 // enabled.
 func evalShardGuarded(eval func() ([]Result, error)) (res []Result, err error) {
 	defer func() {
@@ -92,13 +67,14 @@ func evalShardGuarded(eval func() ([]Result, error)) (res []Result, err error) {
 	return eval()
 }
 
-// evalShardDegraded is the per-shard driver for phase 3: it applies the
-// per-shard deadline and retries transient faults with linear backoff.
-// With nil opts it degenerates to a single guarded attempt under the
-// caller's context. retries reports how many re-runs happened; shards
-// run concurrently, so the caller sums the per-shard counts after the
-// fan-out instead of sharing a counter.
-func evalShardDegraded(ctx context.Context, opts *DegradeOptions, eval func(ctx context.Context) ([]Result, error)) (res []Result, retries int, err error) {
+// withRetries drives one partition call under the degradation policy:
+// a per-attempt deadline (opts.ShardDeadline) and up to opts.MaxRetries
+// re-runs with linear backoff while retryable(err) holds. With nil opts
+// it is a single attempt under the caller's context. It returns how
+// many re-runs happened; partitions run concurrently, so the caller
+// sums the per-partition counts after the fan-out instead of sharing a
+// counter.
+func withRetries(ctx context.Context, opts *DegradeOptions, retryable func(error) bool, call func(ctx context.Context) error) (retries int, err error) {
 	attempts := 1
 	var backoff time.Duration
 	if opts != nil {
@@ -113,7 +89,7 @@ func evalShardDegraded(ctx context.Context, opts *DegradeOptions, eval func(ctx 
 				select {
 				case <-ctx.Done():
 					t.Stop()
-					return nil, retries, ctx.Err()
+					return retries, ctx.Err()
 				case <-t.C:
 				}
 			}
@@ -123,13 +99,48 @@ func evalShardDegraded(ctx context.Context, opts *DegradeOptions, eval func(ctx 
 		if opts != nil && opts.ShardDeadline > 0 {
 			attemptCtx, cancel = context.WithTimeout(ctx, opts.ShardDeadline)
 		}
-		res, err = evalShardGuarded(func() ([]Result, error) { return eval(attemptCtx) })
+		err = call(attemptCtx)
 		if cancel != nil {
 			cancel()
 		}
-		if err == nil || !fault.IsTransient(err) || ctx.Err() != nil {
+		if err == nil || !retryable(err) || ctx.Err() != nil {
 			break
 		}
 	}
-	return res, retries, err
+	return retries, err
+}
+
+// settle applies the degradation policy to one phase's failures
+// (errs[i] non-nil). Without opts.AllowPartial, or once the caller's
+// own context is done — cancellation is the caller's signal, never
+// degraded away — the first failure fails the search. Otherwise each
+// failed partition is dropped with its error, prefixed by the phase.
+// A phase that leaves no partition standing returns its first error: a
+// fully empty "partial" result would be indistinguishable from a query
+// matching nothing.
+func settle(ctx context.Context, opts *DegradeOptions, errs, dropped []error, prefix string) error {
+	var first error
+	alive := 0
+	for i, err := range errs {
+		if err == nil {
+			if dropped[i] == nil {
+				alive++
+			}
+			continue
+		}
+		if opts == nil || !opts.AllowPartial || ctx.Err() != nil {
+			return err
+		}
+		if first == nil {
+			first = err
+		}
+		dropped[i] = err
+		if prefix != "" {
+			dropped[i] = fmt.Errorf("%s%w", prefix, err)
+		}
+	}
+	if alive == 0 {
+		return first
+	}
+	return nil
 }

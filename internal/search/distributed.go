@@ -17,15 +17,15 @@ type ShardConfig struct {
 	Params ModelParams
 	// DisablePruning turns off MaxScore pruning in every shard.
 	DisablePruning bool
-	// Sem, when non-nil, bounds extra fan-out goroutines (in-process
-	// sharding) — see ShardedSearcher.Sem. The RPC-backed coordinator
-	// also uses it to bound its fan-out goroutines.
+	// Sem, when non-nil, bounds extra fan-out goroutines, in process
+	// and in the RPC-backed coordinator alike — see ShardedSearcher.Sem.
 	Sem chan struct{}
 }
 
-// Distributed is the engine-facing contract of sharded retrieval,
-// satisfied by both the in-process ShardedSearcher and the RPC-backed
-// RemoteSharded coordinator. The two implementations return
+// Distributed is the engine-facing contract of partitioned retrieval,
+// satisfied by the in-process ShardedSearcher, the live
+// SegmentedSearcher and the RPC-backed RemoteSharded coordinator — all
+// three through the partitioned core. Sharded and remote return
 // bit-identical rankings over the same corpus and shard count — the
 // parity tests and `make distributed-smoke` enforce it.
 type Distributed interface {
@@ -42,18 +42,6 @@ type Distributed interface {
 	SearchDegraded(ctx context.Context, q Node, k int, opts DegradeOptions) ([]Result, PartialInfo, error)
 	// SearchDegradedWithStats is SearchDegraded plus instrumentation.
 	SearchDegradedWithStats(ctx context.Context, q Node, k int, opts DegradeOptions) ([]Result, SearchStats, PartialInfo, error)
-}
-
-// NumShards returns the shard count S.
-func (ss *ShardedSearcher) NumShards() int { return ss.sh.NumShards() }
-
-// Configure implements Distributed.
-func (ss *ShardedSearcher) Configure(cfg ShardConfig) {
-	ss.Mu = cfg.Mu
-	ss.Model = cfg.Model
-	ss.Params = cfg.Params
-	ss.DisablePruning = cfg.DisablePruning
-	ss.Sem = cfg.Sem
 }
 
 // fanOutShards runs f(0..n-1), using extra goroutines where the

@@ -108,7 +108,7 @@ func TestRemoteShardedBitIdentical(t *testing.T) {
 			for qi, q := range shardQueries() {
 				for _, k := range []int{1, 5, 50} {
 					want := ref.Search(q, k)
-					local := ss.Search(q, k)
+					local, _ := ss.SearchContext(context.Background(), q, k)
 					got, err := rs.SearchContext(context.Background(), q, k)
 					if err != nil {
 						t.Fatalf("%s S=%d q=%d k=%d: %v", m.name, s, qi, k, err)
@@ -438,7 +438,7 @@ func TestRemoteReplicaFailoverMasksDeadPrimary(t *testing.T) {
 	if pi.Degraded() {
 		t.Fatalf("failover surfaced as degradation: %+v", pi)
 	}
-	want := NewShardedSearcher(sh).Search(q, 10)
+	want, _ := NewShardedSearcher(sh).SearchContext(context.Background(), q, 10)
 	if len(res) != len(want) {
 		t.Fatalf("%d results, want %d", len(res), len(want))
 	}

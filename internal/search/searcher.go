@@ -297,22 +297,42 @@ func (s *Searcher) search(ctx context.Context, q Node, k int, st *SearchStats) (
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	params := s.resolveParams()
+	cfg := evalConfig{model: s.Model, params: s.resolveParams(), disablePruning: s.DisablePruning, forcePrune: s.forcePrune}
 	cs := collStats{numDocs: float64(s.ix.NumDocs()), avgDocLen: s.ix.AvgDocLen()}
-	prepareLeaves(s.Model, cs, leaves)
-	score := buildScorer(s.Model, params, cs)
+	prepareLeaves(cfg.model, cs, leaves)
+	score := buildScorer(cfg.model, cfg.params, cs)
 	if s.UseLegacyScorer {
 		s.materializeLeaves(leaves)
 		return s.searchLegacy(ctx, leaves, k, score, st)
 	}
-	if s.DisablePruning {
-		return searchDAAT(ctx, s.ix, leaves, k, score, st, sc)
+	return cfg.evaluate(ctx, s.ix, leaves, k, cs, score, st, sc)
+}
+
+// evalConfig is the scoring configuration one evaluation runs under,
+// with the model parameters already resolved.
+type evalConfig struct {
+	model          Model
+	params         ModelParams
+	disablePruning bool
+	forcePrune     bool
+}
+
+// evaluate is the one evaluator choice, shared by Searcher and every
+// partition: exhaustive DAAT when pruning is disabled or the cost model
+// says MaxScore will not pay off, MaxScore otherwise. leaves must be
+// prepared (prepareLeaves) and score built over cs. The bounds derive
+// from the leaves as they stand — after any global-statistics override,
+// so the bound arithmetic sees the collProb/df the scorer does — while
+// the postings summaries and the minimum document length stay ix's own:
+// bounds only need to dominate the documents ix can produce.
+func (c *evalConfig) evaluate(ctx context.Context, ix *index.Index, leaves []leaf, k int, cs collStats, score scorer, st *SearchStats, sc *evalScratch) ([]Result, error) {
+	if !c.disablePruning {
+		pb := derivePruneBounds(c.model, c.params, cs, ix.MinDocLen(), leaves, sc)
+		if c.forcePrune || pruneWorthwhile(leaves, pb) {
+			return searchMaxScore(ctx, ix, leaves, k, score, pb, st, sc)
+		}
 	}
-	pb := derivePruneBounds(s.Model, params, cs, s.ix.MinDocLen(), leaves, sc)
-	if !s.forcePrune && !pruneWorthwhile(leaves, pb) {
-		return searchDAAT(ctx, s.ix, leaves, k, score, st, sc)
-	}
-	return searchMaxScore(ctx, s.ix, leaves, k, score, pb, st, sc)
+	return searchDAAT(ctx, ix, leaves, k, score, st, sc)
 }
 
 // searchLegacy is the original term-at-a-time evaluator: accumulate a

@@ -105,6 +105,35 @@ type WireEvalStats struct {
 	HeapEvictions         int64 `json:"heap_evictions"`
 }
 
+func newWireEvalStats(st *SearchStats) *WireEvalStats {
+	return &WireEvalStats{
+		CandidatesExamined:    st.CandidatesExamined,
+		PostingsAdvanced:      st.PostingsAdvanced,
+		DocsSkipped:           st.DocsSkipped,
+		BoundEvaluations:      st.BoundEvaluations,
+		BlockBoundEvaluations: st.BlockBoundEvaluations,
+		BlocksDecoded:         st.BlocksDecoded,
+		BlocksTotal:           st.BlocksTotal,
+		HeapPushes:            st.HeapPushes,
+		HeapEvictions:         st.HeapEvictions,
+	}
+}
+
+// addTo accumulates the counters into st.
+func (w *WireEvalStats) addTo(st *SearchStats) {
+	st.addCounters(&SearchStats{
+		CandidatesExamined:    w.CandidatesExamined,
+		PostingsAdvanced:      w.PostingsAdvanced,
+		DocsSkipped:           w.DocsSkipped,
+		BoundEvaluations:      w.BoundEvaluations,
+		BlockBoundEvaluations: w.BlockBoundEvaluations,
+		BlocksDecoded:         w.BlocksDecoded,
+		BlocksTotal:           w.BlocksTotal,
+		HeapPushes:            w.HeapPushes,
+		HeapEvictions:         w.HeapEvictions,
+	})
+}
+
 // EvalResponse carries a shard's top-k slice of the global ranking.
 type EvalResponse struct {
 	Results []WireResult   `json:"results"`
@@ -112,12 +141,11 @@ type EvalResponse struct {
 }
 
 // ShardService serves one shard of the corpus over RPC: the shard's
-// slice of an index.Sharded partition, evaluated by the same package-
-// internal machinery (flatten, buildScorer, searchDAAT/searchMaxScore)
-// the in-process ShardedSearcher uses — which is what makes the
+// slice of an index.Sharded partition, evaluated by the same shardPart
+// code the in-process ShardedSearcher runs — which is what makes the
 // distributed scores bit-identical to single-process sharding.
 type ShardService struct {
-	local     *Searcher
+	ix        *index.Index
 	shard     int
 	numShards int
 }
@@ -130,7 +158,7 @@ func NewShardService(ix *index.Index, shard, numShards int) *ShardService {
 	if shard < 0 || shard >= numShards {
 		panic(fmt.Sprintf("search: shard %d out of range of %d", shard, numShards))
 	}
-	return &ShardService{local: &Searcher{ix: ix}, shard: shard, numShards: numShards}
+	return &ShardService{ix: ix, shard: shard, numShards: numShards}
 }
 
 // Register installs the shard methods on srv.
@@ -144,8 +172,8 @@ func (svc *ShardService) handleInfo(ctx context.Context, body json.RawMessage) (
 	return InfoResponse{
 		Shard:     svc.shard,
 		NumShards: svc.numShards,
-		NumDocs:   svc.local.ix.NumDocs(),
-		TotalToks: svc.local.ix.TotalTokens(),
+		NumDocs:   svc.ix.NumDocs(),
+		TotalToks: svc.ix.TotalTokens(),
 	}, nil
 }
 
@@ -158,13 +186,9 @@ func (svc *ShardService) handleStats(ctx context.Context, body json.RawMessage) 
 	if err != nil {
 		return nil, err
 	}
-	var leaves []leaf
-	svc.local.flatten(q, 1, &leaves)
-	resp := StatsResponse{Leaves: make([]LeafStats, len(leaves))}
-	for i := range leaves {
-		resp.Leaves[i] = LeafStats{CF: leaves[i].cf, DF: leaves[i].df}
-	}
-	return resp, nil
+	p := newShardPart(svc.ix, svc.shard, svc.numShards, q)
+	leaves, err := p.stats(ctx)
+	return StatsResponse{Leaves: leaves}, err
 }
 
 func (svc *ShardService) handleEval(ctx context.Context, body json.RawMessage) (any, error) {
@@ -179,71 +203,45 @@ func (svc *ShardService) handleEval(ctx context.Context, body json.RawMessage) (
 	if req.K <= 0 {
 		return EvalResponse{}, nil
 	}
-	var leaves []leaf
-	svc.local.flatten(q, 1, &leaves)
-	if len(leaves) != len(req.Overrides) {
+	p := newShardPart(svc.ix, svc.shard, svc.numShards, q)
+	p.flatten()
+	if len(p.leaves) != len(req.Overrides) {
 		// The coordinator derived the overrides from this query's flatten
 		// on other shards; a count mismatch means this shard was built
 		// against a different analyzer and scoring would be silently
-		// wrong — same invariant as the in-process leaf-count check.
+		// wrong — same invariant as the coordinator's leaf-count check.
 		return nil, fmt.Errorf("shard %d flattened %d leaves, coordinator supplied %d overrides",
-			svc.shard, len(leaves), len(req.Overrides))
+			svc.shard, len(p.leaves), len(req.Overrides))
 	}
-	if len(leaves) == 0 {
+	if len(p.leaves) == 0 {
 		return EvalResponse{}, nil
 	}
-	for i := range leaves {
-		o := req.Overrides[i]
-		leaves[i].cf, leaves[i].df, leaves[i].collProb = o.CF, o.DF, o.CollProb
-	}
-	params := ModelParams{Mu: req.Mu, Lambda: req.Lambda, K1: req.K1, B: req.B}
-	var avgDocLen float64
-	if req.NumDocs > 0 {
-		avgDocLen = float64(req.TotalToks) / float64(req.NumDocs)
-	}
-	cs := collStats{numDocs: float64(req.NumDocs), avgDocLen: avgDocLen}
-	prepareLeaves(Model(req.Model), cs, leaves)
-	score := buildScorer(Model(req.Model), params, cs)
-
 	var sst *SearchStats
 	if req.WantStats {
 		sst = &SearchStats{}
 	}
-	// One pooled scratch per eval request, returned on every exit path.
-	sc := getScratch()
-	defer putScratch(sc)
-	var res []Result
-	if req.DisablePruning {
-		res, err = searchDAAT(ctx, svc.local.ix, leaves, req.K, score, sst, sc)
-	} else if pb := derivePruneBounds(Model(req.Model), params, cs, svc.local.ix.MinDocLen(), leaves, sc); !pruneWorthwhile(leaves, pb) {
-		res, err = searchDAAT(ctx, svc.local.ix, leaves, req.K, score, sst, sc)
-	} else {
-		res, err = searchMaxScore(ctx, svc.local.ix, leaves, req.K, score, pb, sst, sc)
-	}
+	// The coordinator resolved the model parameters; the shard applies
+	// them verbatim.
+	res, err := p.evalLocal(ctx, &evalSpec{
+		evalConfig: evalConfig{
+			model:          Model(req.Model),
+			params:         ModelParams{Mu: req.Mu, Lambda: req.Lambda, K1: req.K1, B: req.B},
+			disablePruning: req.DisablePruning,
+		},
+		k:         req.K,
+		numDocs:   req.NumDocs,
+		totalToks: req.TotalToks,
+		overrides: req.Overrides,
+	}, sst)
 	if err != nil {
 		return nil, err
 	}
 	resp := EvalResponse{Results: make([]WireResult, len(res))}
 	for i, r := range res {
-		// Remap local→global exactly like index.Sharded.GlobalDoc.
-		resp.Results[i] = WireResult{
-			Doc:   int64(r.Doc)*int64(svc.numShards) + int64(svc.shard),
-			Name:  r.Name,
-			Score: r.Score,
-		}
+		resp.Results[i] = WireResult{Doc: int64(r.Doc), Name: r.Name, Score: r.Score}
 	}
 	if sst != nil {
-		resp.Stats = &WireEvalStats{
-			CandidatesExamined:    sst.CandidatesExamined,
-			PostingsAdvanced:      sst.PostingsAdvanced,
-			DocsSkipped:           sst.DocsSkipped,
-			BoundEvaluations:      sst.BoundEvaluations,
-			BlockBoundEvaluations: sst.BlockBoundEvaluations,
-			BlocksDecoded:         sst.BlocksDecoded,
-			BlocksTotal:           sst.BlocksTotal,
-			HeapPushes:            sst.HeapPushes,
-			HeapEvictions:         sst.HeapEvictions,
-		}
+		resp.Stats = newWireEvalStats(sst)
 	}
 	return resp, nil
 }

@@ -95,7 +95,7 @@ func TestShardedBitIdentical(t *testing.T) {
 					for _, k := range []int{1, 3, 10, 1000} {
 						ref, ss := shardedOver(corpus.ix, s, m.model, m.params)
 						want := ref.Search(q, k)
-						got := ss.Search(q, k)
+						got, _ := ss.SearchContext(context.Background(), q, k)
 						if len(got) != len(want) {
 							t.Fatalf("%s/%s S=%d q=%d k=%d: %d results, want %d",
 								corpus.name, m.name, s, qi, k, len(got), len(want))
@@ -125,7 +125,7 @@ func TestShardedMuOverrideMatches(t *testing.T) {
 	ss.Mu = 500
 	q := Combine(Term{Text: "cable"}, Term{Text: "harbour"})
 	want := ref.Search(q, 20)
-	got := ss.Search(q, 20)
+	got, _ := ss.SearchContext(context.Background(), q, 20)
 	if len(got) != len(want) {
 		t.Fatalf("%d results, want %d", len(got), len(want))
 	}
@@ -139,17 +139,17 @@ func TestShardedMuOverrideMatches(t *testing.T) {
 func TestShardedEdgeCases(t *testing.T) {
 	ix := buildShardCorpus(30, 5)
 	ss := NewShardedSearcher(index.NewSharded(ix, 4))
-	if res := ss.Search(Term{Text: "cable"}, 0); res != nil {
+	if res, _ := ss.SearchContext(context.Background(), Term{Text: "cable"}, 0); res != nil {
 		t.Fatalf("k=0: got %d results", len(res))
 	}
-	if res := ss.Search(Term{Text: ""}, 10); res != nil {
+	if res, _ := ss.SearchContext(context.Background(), Term{Text: ""}, 10); res != nil {
 		t.Fatalf("empty query: got %d results", len(res))
 	}
 	// OOV-only query still ranks every document (background mass), like
 	// the unsharded searcher.
 	ref := NewSearcher(ix)
 	want := ref.Search(Term{Text: "zeppelin"}, 10)
-	got := ss.Search(Term{Text: "zeppelin"}, 10)
+	got, _ := ss.SearchContext(context.Background(), Term{Text: "zeppelin"}, 10)
 	if len(got) != len(want) {
 		t.Fatalf("OOV: %d results, want %d", len(got), len(want))
 	}
@@ -248,7 +248,7 @@ func TestShardedSaturatedSemaphore(t *testing.T) {
 	ss.Sem = sem
 	q := Combine(Term{Text: "cable"}, Term{Text: "tram"})
 	want := ref.Search(q, 15)
-	got := ss.Search(q, 15)
+	got, _ := ss.SearchContext(context.Background(), q, 15)
 	if len(got) != len(want) {
 		t.Fatalf("%d results, want %d", len(got), len(want))
 	}
@@ -259,7 +259,7 @@ func TestShardedSaturatedSemaphore(t *testing.T) {
 	}
 	// With free slots it must also agree (goroutine path).
 	<-sem
-	got = ss.Search(q, 15)
+	got, _ = ss.SearchContext(context.Background(), q, 15)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("free-slot rank %d: got %+v want %+v", i, got[i], want[i])

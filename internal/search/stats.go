@@ -63,8 +63,9 @@ type SearchStats struct {
 	HeapEvictions int64
 	// Elapsed is the wall-clock time of the evaluation.
 	Elapsed time.Duration
-	// Shards holds per-shard instrumentation when the retrieval ran on a
-	// ShardedSearcher (indexed by shard; nil for unsharded retrievals).
+	// Shards holds per-shard instrumentation when the retrieval ran over
+	// partitions — shards, segments or shard servers (indexed by
+	// partition; nil for unsharded retrievals).
 	// The aggregate counters above already include every shard's work.
 	Shards []ShardStats
 }
@@ -91,15 +92,7 @@ type ShardStats struct {
 // shard counts extends the slice to the larger of the two.
 func (s *SearchStats) Add(o SearchStats) {
 	s.Leaves += o.Leaves
-	s.CandidatesExamined += o.CandidatesExamined
-	s.PostingsAdvanced += o.PostingsAdvanced
-	s.DocsSkipped += o.DocsSkipped
-	s.BoundEvaluations += o.BoundEvaluations
-	s.BlockBoundEvaluations += o.BlockBoundEvaluations
-	s.BlocksDecoded += o.BlocksDecoded
-	s.BlocksTotal += o.BlocksTotal
-	s.HeapPushes += o.HeapPushes
-	s.HeapEvictions += o.HeapEvictions
+	s.addCounters(&o)
 	s.Elapsed += o.Elapsed
 	for i, sh := range o.Shards {
 		if i < len(s.Shards) {
@@ -111,6 +104,20 @@ func (s *SearchStats) Add(o SearchStats) {
 			s.Shards = append(s.Shards, sh)
 		}
 	}
+}
+
+// addCounters accumulates o's evaluator work counters — everything but
+// Leaves, Elapsed and Shards.
+func (s *SearchStats) addCounters(o *SearchStats) {
+	s.CandidatesExamined += o.CandidatesExamined
+	s.PostingsAdvanced += o.PostingsAdvanced
+	s.DocsSkipped += o.DocsSkipped
+	s.BoundEvaluations += o.BoundEvaluations
+	s.BlockBoundEvaluations += o.BlockBoundEvaluations
+	s.BlocksDecoded += o.BlocksDecoded
+	s.BlocksTotal += o.BlocksTotal
+	s.HeapPushes += o.HeapPushes
+	s.HeapEvictions += o.HeapEvictions
 }
 
 // String renders the counters compactly.
